@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import isprime
 
 from .model import Aperture, DesignCertificate, ImagingConfig, lmmse
 from .waterfill import optimal_rho
@@ -26,8 +25,39 @@ __all__ = [
     "families_for",
     "loss_factor",
     "worst_case_penalty",
+    "certified_penalty",
     "flat_design",
 ]
+
+
+# Miller-Rabin with the first 13 primes as witnesses is exact below this.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 3.3e24."""
+    if n >= _WITNESS_LIMIT:
+        raise ValueError(f"{n} is too large for the deterministic prime test")
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _odd_square(m: int) -> bool:
@@ -64,7 +94,7 @@ class ResidueFamily:
     def __post_init__(self):
         if self.e not in (2, 4, 8):
             raise ValueError(f"residue exponent must be 2, 4, or 8, got {self.e}")
-        if self.p < 3 or self.p % 2 == 0 or not isprime(self.p):
+        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if (self.p - 1) % self.e != 0:
             raise ValueError(f"e={self.e} does not divide p-1 for p={self.p}")
@@ -138,32 +168,32 @@ def find_residue_lengths(e: int, n_max: int) -> list[ResidueFamily]:
     out: list[ResidueFamily] = []
     if e == 2:
         for p in range(3, n_max + 1, 4):
-            if isprime(p):
+            if _is_prime(p):
                 out.append(ResidueFamily(p, 2))
     elif e == 4:
         x = 1
         while 4 * x * x + 1 <= n_max:
             p = 4 * x * x + 1
-            if isprime(p):
+            if _is_prime(p):
                 out.append(ResidueFamily(p, 4))
             x += 2
         x = 1
         while 4 * x * x + 9 <= n_max:
             p = 4 * x * x + 9
-            if isprime(p):
+            if _is_prime(p):
                 out.append(ResidueFamily(p, 4, include_zero=True))
             x += 2
     else:
         a = 1
         while 8 * a * a + 1 <= n_max:
             p = 8 * a * a + 1
-            if isprime(p) and (p - 9) % 64 == 0 and _odd_square((p - 9) // 64):
+            if _is_prime(p) and (p - 9) % 64 == 0 and _odd_square((p - 9) // 64):
                 out.append(ResidueFamily(p, 8))
             a += 2
         a = 1
         while 8 * a * a + 49 <= n_max:
             p = 8 * a * a + 49
-            if (isprime(p) and (p - 441) % 64 == 0
+            if (_is_prime(p) and (p - 441) % 64 == 0
                     and _even_square((p - 441) // 64)):
                 out.append(ResidueFamily(p, 8, include_zero=True))
             a += 2
@@ -225,14 +255,42 @@ def worst_case_penalty(rho_set) -> float:
     return float(max(best.max(), 1.0))
 
 
+def certified_penalty(config: ImagingConfig, d, aperture: Aperture,
+                      bound: float, floor: float = 1.0) -> float:
+    """Smallest exposure multiplier >= floor at which the mask meets bound.
+
+    The LMMSE falls as the exposure grows, so the multiplier is bracketed
+    by doubling and found by bisection; inf if even 1e12 falls short.
+    """
+    def meets(mult: float) -> bool:
+        m = lmmse(config.with_t(config.t * mult), d, aperture)
+        return m <= bound * (1.0 + 1e-9) + 1e-300
+
+    if meets(floor):
+        return floor
+    lo, hi = floor, 2.0 * floor
+    while not meets(hi):
+        if hi >= 1e12:
+            return math.inf
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def flat_design(config: ImagingConfig, d) -> tuple[Aperture, DesignCertificate]:
     """Pick the best residue mask at n and certify its exposure penalty.
 
     Chooses the family whose transmissivity minimizes the loss factor at the
-    configured noise ratio, then checks empirically that running the mask at
-    penalty-scaled exposure meets the waterfilling bound at the nominal
-    exposure.  The guarantee is for i.i.d. priors; other priors get a
-    warning.
+    configured noise ratio.  The loss factor only compares the off-DC power,
+    so the certified penalty is the smallest multiplier, no lower than the
+    loss factor, at which running the mask at penalty-scaled exposure meets
+    the waterfilling bound at the nominal exposure.  The guarantee is for
+    i.i.d. priors; other priors get a warning.
     """
     d = np.asarray(d, dtype=float).ravel()
     fams = families_for(config.n)
@@ -243,15 +301,17 @@ def flat_design(config: ImagingConfig, d) -> tuple[Aperture, DesignCertificate]:
                       stacklevel=2)
     a_ratio = config.W / config.J if config.J > 0 else math.inf
     fam = min(fams, key=lambda f: loss_factor(a_ratio, f.rho))
-    penalty = loss_factor(a_ratio, fam.rho)
+    loss = loss_factor(a_ratio, fam.rho)
     aperture = residue_sequence(fam)
 
     ahat2 = np.abs(aperture.spectrum()) ** 2
     required = np.zeros(config.n)
     required[1:] = fam.flat_level
     _, bound = optimal_rho(config, d)
-    achieved_lmmse = lmmse(config.with_t(config.t * penalty), d, aperture)
-    passed = achieved_lmmse <= bound * (1.0 + 1e-9) + 1e-300
+    penalty = certified_penalty(config, d, aperture, bound, loss)
+    passed = math.isfinite(penalty)
+    achieved_lmmse = lmmse(config.with_t(config.t * penalty), d, aperture) \
+        if passed else math.inf
     cert = DesignCertificate(
         achieved=ahat2,
         required=required,
@@ -261,6 +321,7 @@ def flat_design(config: ImagingConfig, d) -> tuple[Aperture, DesignCertificate]:
         detail={
             "family": {"p": fam.p, "e": fam.e, "include_zero": fam.include_zero},
             "rho": fam.rho,
+            "loss_factor": loss,
             "lmmse_at_penalized_t": achieved_lmmse,
             "lower_bound": bound,
         },

@@ -213,16 +213,22 @@ def cortege_to_bounded(p, cortege: SignCortege) -> np.ndarray:
 def _certify(config: ImagingConfig, d: np.ndarray, targets: np.ndarray,
              M: float, rho_star: float, bound: float, b: np.ndarray,
              aperture: Aperture) -> DesignCertificate:
-    """Check the spectral and exposure guarantees of a candidate mask."""
+    """Check the spectral and exposure guarantees of a candidate mask.
+
+    With nothing poured (all targets zero) there is no spectral requirement
+    and the mask is the constant one at rho_star, which may exceed 1/2.
+    """
     ahat2 = np.abs(aperture.spectrum()).ravel() ** 2
-    required = targets / (4.0 * M * M * rho_star * (1.0 - rho_star))
+    poured = bool(targets.any())
+    required = targets / (4.0 * M * M * rho_star * (1.0 - rho_star)) \
+        if poured else targets
     spectral_ok = bool(np.all(
         ahat2[1:] >= required[1:] * (1.0 - _CERT_RTOL) - 1e-300))
     penalty = 2.0 * M * M
     m_penalized = lmmse(config.with_t(config.t * penalty), d, aperture)
     exposure_ok = m_penalized <= bound * (1.0 + _CERT_RTOL) + 1e-300
     sup_norm = float(np.abs(b).max())
-    rho_ok = aperture.rho <= 0.5 + _CERT_RTOL
+    rho_ok = aperture.rho <= 0.5 + _CERT_RTOL or not poured
     return DesignCertificate(
         achieved=ahat2,
         required=required,
@@ -260,8 +266,8 @@ def design_aperture(config: ImagingConfig, d, seed=0, restarts: int = 16,
     rho_star, bound = optimal_rho(config, d)
     degenerate, targets = _waterfill_targets(config, d, rho_star)
     if degenerate:
-        aperture = Aperture(np.zeros(n))
-        cert = _certify(config, d, targets, M, 0.5, bound,
+        aperture = Aperture(np.full(n, rho_star))
+        cert = _certify(config, d, targets, M, rho_star, bound,
                         np.zeros(n), aperture)
         cert.seed = _seed_as_int(seed)
         return aperture, cert
@@ -295,8 +301,9 @@ def _waterfill_targets(config: ImagingConfig, d: np.ndarray, rho_star: float
     """Waterfilled power targets at the optimal transmissivity.
 
     Returns (degenerate, targets); degenerate means there is no power to
-    allocate (zero exposure or boundary rho), in which case the all-zero
-    mask already meets the trivial bound.
+    allocate (zero exposure, boundary rho, or no prior off DC), in which
+    case the constant mask at rho_star attains the bound: all-closed at
+    rho_star = 0, all-open at rho_star = 1.
     """
     N = config.npixels
     targets = np.zeros(N)
@@ -350,8 +357,8 @@ def design_aperture_2d(config: ImagingConfig, d_2d, seed=0, restarts: int = 16,
     rho_star, bound = optimal_rho(config, dflat)
     degenerate, targets = _waterfill_targets(config, dflat, rho_star)
     if degenerate:
-        aperture = Aperture(np.zeros((n, n)))
-        cert = _certify(config, dflat, targets, M, 0.5,
+        aperture = Aperture(np.full((n, n), rho_star))
+        cert = _certify(config, dflat, targets, M, rho_star,
                         bound, np.zeros(N), aperture)
         cert.seed = _seed_as_int(seed)
         return aperture, cert
@@ -438,7 +445,8 @@ def _repair_sign_quadruples(signs: np.ndarray, g: np.ndarray, row,
 
 def _product_flat_design(config: ImagingConfig, d: np.ndarray):
     """Product of two 1D residue masks for an iid 2D prior, when available."""
-    from .flatseq import families_for, loss_factor, residue_sequence
+    from .flatseq import (certified_penalty, families_for, loss_factor,
+                          residue_sequence)
 
     fams = families_for(config.n)
     if not fams:
@@ -457,27 +465,9 @@ def _product_flat_design(config: ImagingConfig, d: np.ndarray):
     analog = loss_factor(a_ratio, aperture.rho)
     dflat = d.ravel()
     _, bound = optimal_rho(config, dflat)
-
-    # Certify the exposure factor empirically: the analog of the 1D loss
-    # factor is only asymptotic, so find the smallest multiplier at which
-    # the penalized run meets the bound (lmmse is monotone in t).
-    def meets(mult: float) -> bool:
-        m = lmmse(config.with_t(config.t * mult), dflat, aperture)
-        return m <= bound * (1.0 + _CERT_RTOL) + 1e-300
-
-    penalty = math.inf
-    hi = max(analog, 1.0)
-    while not meets(hi) and hi < 1e12:
-        hi *= 2.0
-    if meets(hi):
-        lo = 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if meets(mid):
-                hi = mid
-            else:
-                lo = mid
-        penalty = hi
+    # The analog of the 1D loss factor is only asymptotic: certify the
+    # smallest multiplier at which the penalized run meets the bound.
+    penalty = certified_penalty(config, dflat, aperture, bound)
     m_penalized = lmmse(config.with_t(config.t * penalty), dflat, aperture) \
         if math.isfinite(penalty) else math.inf
     required = np.zeros_like(ahat2)

@@ -1,8 +1,14 @@
 """Tests for the command-line surface and its file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import codedmask
 from codedmask.cli import (EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION, main,
                            read_aperture_file, write_aperture_file)
 from codedmask.model import Aperture
@@ -14,6 +20,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_needs_numpy_only():
+    # The runtime depends on numpy alone; scipy is a test-only oracle.
+    src = str(Path(codedmask.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, codedmask, codedmask.cli; "
+             "print(sorted({'scipy', 'sympy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestApertureFile:

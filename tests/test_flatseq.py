@@ -5,11 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from codedmask.flatseq import (ResidueFamily, families_for, find_residue_lengths,
-                               flat_design, loss_factor, residue_sequence,
-                               worst_case_penalty)
+from codedmask.flatseq import (ResidueFamily, _is_prime, families_for,
+                               find_residue_lengths, flat_design, loss_factor,
+                               residue_sequence, worst_case_penalty)
 from codedmask.model import ImagingConfig, lmmse
 from codedmask.waterfill import optimal_rho
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        n = np.arange(100_000)
+        divisors = np.arange(2, 317)[:, None]
+        has_factor = ((n % divisors == 0) & (divisors * divisors <= n)).any(0)
+        trial = (n >= 2) & ~has_factor
+        assert [_is_prime(int(k)) for k in n] == trial.tolist()
+
+    def test_strong_pseudoprimes(self):
+        # Each fools Miller-Rabin with all witnesses up to some prime < 41.
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
+
+    def test_beyond_the_witness_range(self):
+        with pytest.raises(ValueError):
+            _is_prime(10 ** 25)
 
 
 class TestResidueFamily:
@@ -135,7 +156,14 @@ class TestFlatDesign:
         d = np.full(677, 1.0 / 677)
         aperture, cert = flat_design(cfg, d)
         assert aperture.values.sum() == 169
-        assert cert.penalty == pytest.approx(loss_factor(1.0, 169 / 677))
+        # The loss factor prices the off-DC power only.  Against the exact
+        # minimum of the bound (a kink at rho = 280/677) the dimmer DC term
+        # of the 169/677 mask costs about 2e-6 more exposure.
+        analog = loss_factor(1.0, 169 / 677)
+        _, bound = optimal_rho(cfg, d)
+        assert lmmse(cfg.with_t(1e4 * analog), d, aperture) > \
+            bound * (1 + 1e-9)
+        assert analog < cert.penalty <= analog * (1 + 1e-5)
         assert cert.passed
 
     def test_small_quadratic_shot_dominant(self):

@@ -190,6 +190,19 @@ class TestDesignAperture:
         assert cert.passed
         assert not aperture.values.any()
 
+    def test_faint_exposure_opens_the_mask(self):
+        # At tiny exposure the bound is smallest at rho = 1, where no power
+        # is left to pour; the all-open mask attains it.
+        cfg = ImagingConfig(64, 1e-6, 1e-3, 1e-3)
+        d = np.full(64, 1.0 / 64)
+        rho_star, bound = optimal_rho(cfg, d)
+        assert rho_star == 1.0
+        aperture, cert = design_aperture(cfg, d, seed=0)
+        assert cert.passed
+        assert np.all(aperture.values == 1.0)
+        assert cert.detail["rho_star"] == 1.0
+        assert lmmse(cfg, d, aperture) == pytest.approx(bound, rel=1e-12)
+
     def test_deterministic(self):
         cfg = ImagingConfig(32, 100.0, 1e-3, 1e-3)
         d = np.full(32, 1.0 / 32)

@@ -198,3 +198,47 @@ class TestOptimalRho:
     def test_needs_some_noise(self):
         with pytest.raises(ValueError):
             optimal_rho(ImagingConfig(8, 1.0, 0.0, 0.0), np.full(8, 0.125))
+
+    def test_finds_minimum_between_grid_points(self):
+        # The 1025-point grid plus a local refinement used to stop at
+        # rho ~ 0.0945 with bound 8.2434e-6.
+        n = 677
+        cfg = ImagingConfig(n, 1e6, 1e-4, 1e-2)
+        rho, val = optimal_rho(cfg, np.full(n, 1.0 / n))
+        assert rho == pytest.approx(0.0901, abs=5e-5)
+        assert val < 8.2422e-6
+
+    def test_minimum_on_a_kink(self):
+        n = 677
+        cfg = ImagingConfig(n, 50.0 * n, 1e-3, 1e-3)
+        rho, val = optimal_rho(cfg, np.full(n, 1.0 / n))
+        assert rho == 280 / n
+        assert val == lower_bound(cfg, np.full(n, 1.0 / n), 280 / n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 700),
+           kind=st.sampled_from(["iid", "powerlaw", "bandlimited", "random"]),
+           shape=st.floats(0.05, 0.45), seed=st.integers(0, 2 ** 32 - 1),
+           log_t=st.floats(-3.0, 8.0), log_w=st.floats(-6.0, 0.0),
+           log_j=st.floats(-6.0, 0.0),
+           noise=st.sampled_from(["both", "thermal", "shot"]))
+    def test_global_minimum_property(self, n, kind, shape, seed, log_t,
+                                     log_w, log_j, noise):
+        if kind == "iid":
+            d = np.full(n, 1.0 / n)
+        elif kind == "powerlaw":
+            d = sample_prior(ScenePrior.powerlaw(1.0, 10 * shape), n)
+        elif kind == "bandlimited":
+            d = sample_prior(ScenePrior.bandlimited(1.0, shape, 0.01), n)
+        else:
+            rng = np.random.default_rng(seed)
+            d = rng.random(n) ** 3
+            d[rng.random(n) < shape] = 0.0
+        W = 0.0 if noise == "shot" else 10.0 ** log_w
+        J = 0.0 if noise == "thermal" else 10.0 ** log_j
+        cfg = ImagingConfig(n, 10.0 ** log_t, W, J)
+        rho, val = optimal_rho(cfg, d)
+        assert val == lower_bound(cfg, d, rho)
+        dense = np.union1d(np.arange(n + 1) / n, np.linspace(0.0, 1.0, 2001))
+        for r in dense:
+            assert val <= lower_bound(cfg, d, float(r)) * (1.0 + 1e-12)
